@@ -25,7 +25,8 @@ Seven subcommands cover the common workflows::
   metadata; ``--param name=value`` passes schema-validated parameters;
   ``--json`` emits the outcome row as canonical JSON for scripted callers).
   ``--shards K --workers N`` routes through the parallel shard-and-merge
-  solver; ``--store DIR`` persists content-addressed solve artifacts.
+  solver; ``--store STORE`` persists content-addressed solve artifacts in
+  any backend (a directory, ``file:PATH``, ``sqlite:PATH``).
 * ``shard-solve`` is the parallel solver's own surface: partition a scenario,
   trace or generated workload across K independent streaming solvers
   (``--partition hash|tenant|round-robin``), fan them out over worker
@@ -172,8 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
              "instead of one coordinator; the merged row replaces the outcome row",
     )
     solve_cmd.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="persist content-addressed solve artifacts under DIR; without "
+        "--store", default=None, metavar="STORE",
+        help="persist content-addressed solve artifacts in STORE (a directory, "
+             "file:PATH or sqlite:PATH); without "
              "--shards this runs the plain solve through the artifact-writing "
              "path (the CI shard-identity gate diffs it against --shards 1)",
     )
@@ -198,8 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     _shard_source_args(shard_solve_cmd)
     shard_solve_cmd.add_argument("--shards", type=int, default=2, metavar="K",
                                  help="number of independent parallel solvers")
-    shard_solve_cmd.add_argument("--store", default=None, metavar="DIR",
-                                 help="content-addressed artifact store directory "
+    shard_solve_cmd.add_argument("--store", default=None, metavar="STORE",
+                                 help="content-addressed artifact store: a directory, "
+                                      "file:PATH or sqlite:PATH "
                                       "(re-runs skip already-solved shards)")
     shard_solve_cmd.add_argument(
         "--json", action="store_true",
@@ -673,8 +676,10 @@ def _cmd_shard_solve(args: argparse.Namespace, out) -> int:
         f"{'cached' if result.merged_cached else 'computed'}",
         file=out,
     )
-    if result.store_root is not None:
-        print(f"store         : {result.store_root} [{result.merged_key}]", file=out)
+    if args.store is not None:
+        # Keyed backends (sqlite:, memory:) have no filesystem root.
+        where = result.store_root if result.store_root is not None else args.store
+        print(f"store         : {where} [{result.merged_key}]", file=out)
     return 0
 
 

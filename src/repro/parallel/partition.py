@@ -19,6 +19,7 @@ partitions that leave any job with no finite size (an infeasible shard).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -28,7 +29,7 @@ import numpy as np
 from repro.exceptions import InvalidParameterError
 from repro.simulation.instance import Instance
 from repro.simulation.machine import Machine
-from repro.utils.serialization import stable_hash
+from repro.utils.serialization import canonical_json, column_json_texts
 from repro.workloads.generators import JobChunk
 from repro.workloads.traces import chunks_from_jobs, read_trace_chunks
 
@@ -145,6 +146,10 @@ def normalise_source(
     return chunks, fleet
 
 
+#: Compact canonical text of ``Job.to_dict()`` (keys sorted).
+_JOB_TEMPLATE = '{"deadline":%s,"id":%s,"release":%s,"sizes":[%s],"weight":%s}'
+
+
 def source_fingerprint(chunks: Sequence[JobChunk], fleet: Sequence[Machine]) -> str:
     """Content hash of the normalised source (jobs + machines).
 
@@ -153,13 +158,33 @@ def source_fingerprint(chunks: Sequence[JobChunk], fleet: Sequence[Machine]) -> 
     stream, and of everything about how it will be solved.  Artifact keys
     are derived from this, so identical workloads share cache entries across
     entry points.
+
+    The digest is :func:`~repro.utils.serialization.stable_hash` of
+    ``{"jobs": [job.to_dict(), ...], "machines": [machine.to_dict(), ...]}``.
+    The canonical text is rendered straight from the chunk columns and
+    hashed chunk by chunk, without building a :class:`Job` per row.
     """
-    return stable_hash(
-        {
-            "machines": [machine.to_dict() for machine in fleet],
-            "jobs": [job.to_dict() for chunk in chunks for job in chunk.jobs()],
-        }
-    )
+    digest = hashlib.sha256(b'{"jobs":[')
+    separator = ""
+    for chunk in chunks:
+        count = len(chunk)
+        if count == 0:
+            continue
+        width = chunk.sizes.shape[1]
+        sizes = column_json_texts(chunk.sizes.ravel())
+        rows = zip(
+            ["null"] * count if chunk.deadlines is None else column_json_texts(chunk.deadlines),
+            column_json_texts(chunk.job_ids()),
+            column_json_texts(chunk.releases),
+            [",".join(sizes[k : k + width]) for k in range(0, count * width, width)],
+            ["1.0"] * count if chunk.weights is None else column_json_texts(chunk.weights),
+        )
+        text = ",".join([_JOB_TEMPLATE % row for row in rows])
+        digest.update((separator + text).encode("utf-8"))
+        separator = ","
+    machines = canonical_json([machine.to_dict() for machine in fleet])
+    digest.update(f'],"machines":{machines}}}'.encode("utf-8"))
+    return digest.hexdigest()[:16]
 
 
 def restrict_chunk(chunk: JobChunk, cols: Sequence[int], shard: int) -> JobChunk:

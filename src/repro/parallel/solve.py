@@ -217,9 +217,10 @@ class ShardSolveResult:
 
 
 def _as_store(store: "ArtifactStore | str | Path | None") -> ArtifactStore | None:
+    """Open a store argument: a store, a spec (``sqlite:PATH``, …) or a path."""
     if store is None or isinstance(store, ArtifactStore):
         return store
-    return ArtifactStore(store)
+    return ArtifactStore.open(store)
 
 
 def shard_solve(
@@ -247,7 +248,8 @@ def shard_solve(
     ``workers`` processes via the campaign fan-out, and their decision
     streams are merged time-ordered into one combined outcome.
 
-    With ``store`` set (an :class:`ArtifactStore` or a path), every shard
+    With ``store`` set (an :class:`ArtifactStore`, a store spec such as
+    ``sqlite:PATH``, or a directory path), every shard
     payload and the merged payload are persisted content-addressed; re-runs
     skip already-solved shards.  ``store=None`` runs fully in memory.
 
@@ -263,11 +265,11 @@ def shard_solve(
         raise InvalidParameterError(
             f"unknown partition '{partition}'; expected one of {SHARD_MODES}"
         )
+    if workers < 1:
+        raise InvalidParameterError(f"workers must be >= 1, got {workers}")
     validated = spec.validate_params(params)
     chunks, fleet = normalise_source(source, machines=machines, alpha=alpha)
     groups = machine_groups(len(fleet), num_shards)
-    if workers < 1:
-        raise InvalidParameterError(f"workers must be >= 1, got {workers}")
 
     fingerprint = source_fingerprint(chunks, fleet)
     shard_keys, merged_key = artifact_keys(
@@ -377,11 +379,11 @@ def solve_to_store(
         raise InvalidParameterError(
             f"unknown partition '{partition}'; expected one of {SHARD_MODES}"
         )
+    if store is None:
+        raise InvalidParameterError("solve_to_store requires a store")
     validated = spec.validate_params(params)
     chunks, fleet = normalise_source(source, machines=machines, alpha=alpha)
     store_obj = _as_store(store)
-    if store_obj is None:
-        raise InvalidParameterError("solve_to_store requires a store")
 
     fingerprint = source_fingerprint(chunks, fleet)
     shard_keys, merged_key = artifact_keys(

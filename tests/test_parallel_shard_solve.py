@@ -21,7 +21,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_property_based import flow_instances
 
-from repro.campaigns.store import ArtifactStore
+from repro.campaigns.backends import FilesystemBackend, MemoryBackend, SQLiteBackend
+from repro.campaigns.store import ArtifactStore, blob_key_for, diff_stores
 from repro.cli import main
 from repro.exceptions import InvalidParameterError, StreamingNotSupportedError
 from repro.experiments import run_experiment
@@ -228,6 +229,63 @@ class TestShardSolve:
                         workers=0, **PARAMS)
         with pytest.raises(StreamingNotSupportedError):
             shard_solve(chunks, "yds", 2, machines=MACHINES)
+
+    def test_argument_errors_come_before_reading_the_source(self, tmp_path):
+        missing = tmp_path / "no-such-trace.ndjson"
+        with pytest.raises(InvalidParameterError, match="cannot open trace file"):
+            shard_solve(missing, "rejection-flow", 2, **PARAMS)
+        with pytest.raises(InvalidParameterError, match="workers must be >= 1"):
+            shard_solve(missing, "rejection-flow", 2, workers=0, **PARAMS)
+        with pytest.raises(InvalidParameterError, match="requires a store"):
+            solve_to_store(missing, "rejection-flow", store=None, **PARAMS)
+
+
+# --------------------------------------------------------------------------------------
+# Store specs: every entry point opens the backend a spec names
+# --------------------------------------------------------------------------------------
+
+
+class TestStoreSpecs:
+    @pytest.fixture(scope="class")
+    def chunks(self):
+        return _scenario_chunks(num_jobs=40)
+
+    @pytest.mark.parametrize("scheme", ["plain", "file", "sqlite"])
+    def test_spec_opens_the_named_backend(self, chunks, scheme, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        location = tmp_path / ("k2.db" if scheme == "sqlite" else "k2")
+        spec = str(location) if scheme == "plain" else f"{scheme}:{location}"
+        reference = ArtifactStore(backend=MemoryBackend())
+        shard_solve(chunks, "rejection-flow", 2, machines=MACHINES, store=reference, **PARAMS)
+        result = shard_solve(chunks, "rejection-flow", 2, machines=MACHINES, store=spec,
+                             **PARAMS)
+        store = ArtifactStore.open(spec)
+        expected_backend = SQLiteBackend if scheme == "sqlite" else FilesystemBackend
+        assert type(store.backend) is expected_backend
+        assert location.is_file() if scheme == "sqlite" else location.is_dir()
+        assert result.store_root == (None if scheme == "sqlite" else location)
+        assert diff_stores(reference, store) == []
+        assert sorted(path.name for path in tmp_path.iterdir()) == [location.name]
+
+        plain = solve_to_store(chunks, "rejection-flow", store=spec, machines=MACHINES,
+                               **PARAMS)
+        k1 = ArtifactStore(backend=MemoryBackend())
+        shard_solve(chunks, "rejection-flow", 1, machines=MACHINES, store=k1, **PARAMS)
+        for key in (*plain.shard_keys, plain.merged_key):
+            assert store.backend.get(blob_key_for(key)) == k1.backend.get(blob_key_for(key))
+
+    def test_cli_store_summary_on_a_keyed_backend(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        spec = f"sqlite:{tmp_path / 'cli.db'}"
+        common = ["--scenario", "multi-tenant-mix", "--jobs", "40", "--machines", "4",
+                  "--seed", "2018", "--param", "epsilon=0.5", "--store", spec]
+        out = io.StringIO()
+        assert main(["shard-solve", *common, "--shards", "2"], out=out) == 0
+        assert f"store         : {spec} [" in out.getvalue()
+        plain = io.StringIO()
+        assert main(["solve", *common], out=plain) == 0
+        assert f"store         : {spec} [" in plain.getvalue()
+        assert len(ArtifactStore.open(spec)) == 3 + 2
 
 
 # --------------------------------------------------------------------------------------
