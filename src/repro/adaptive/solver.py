@@ -17,7 +17,7 @@ Hence:
 * batch ``repro.solve(..., algorithm="meta")`` and a streaming session over
   the same jobs make identical switch decisions (finalize stays
   byte-identical to batch);
-* the three dispatch modes agree byte-for-byte: the meta policy declares no
+* both dispatch modes agree byte-for-byte: the meta policy declares no
   ``priority_key`` and no prefix stats, so every sub-policy decision path
   takes the deterministic scan fallbacks in all modes;
 * replaying a snapshot's op log re-derives controller switches exactly, so

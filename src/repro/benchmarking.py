@@ -126,8 +126,8 @@ def _bench_e1_dispatch(scale: float, dispatch: str) -> BenchCase:
     """The E1 overload-burst workload pinned to one dispatch backend.
 
     Same workload as ``e1_flow_time`` (which runs the default mode) with an
-    explicit ``dispatch`` in the recipe, so the trajectory records all three
-    backends side by side and the gate guards each one's own baseline.
+    explicit ``dispatch`` in the recipe, so the trajectory records each
+    backend side by side and the gate guards each one's own baseline.
     """
     from repro.core.flow_time import RejectionFlowTimeScheduler
     from repro.simulation.engine import FlowTimeEngine

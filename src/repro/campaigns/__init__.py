@@ -18,10 +18,7 @@ print tables" to re-runnable (experiment × variant × seed × algorithm) grids:
   lease-based work stealing, with crash recovery and byte-identical
   results (:func:`run_campaign` is the one entry point for both modes);
 * :mod:`~repro.campaigns.aggregate` merges artifacts into report tables and
-  CSV exports without re-running anything;
-* :mod:`~repro.campaigns.session_replay` records streaming-session decision
-  traces as content-addressed artifacts and replays them to verify the
-  streaming path stays byte-deterministic.
+  CSV exports without re-running anything.
 
 See docs/ARCHITECTURE.md for the data-flow diagram and the ``repro
 campaign`` CLI for the user-facing entry point.
@@ -62,13 +59,6 @@ from repro.campaigns.runner import (
     TaskOutcome,
     run_mapped,
 )
-from repro.campaigns.session_replay import (
-    TRACE_SCHEMA_VERSION,
-    SessionTrace,
-    record_session_trace,
-    replay_session_trace,
-    trace_key,
-)
 from repro.campaigns.store import ArtifactStore, diff_stores
 from repro.campaigns.tasks import (
     ARTIFACT_SCHEMA_VERSION,
@@ -93,9 +83,7 @@ __all__ = [
     "GridEntry",
     "MemoryBackend",
     "SQLiteBackend",
-    "SessionTrace",
     "StoreBackend",
-    "TRACE_SCHEMA_VERSION",
     "TaskOutcome",
     "aggregate_tables",
     "algorithm_axis",
@@ -106,9 +94,7 @@ __all__ = [
     "get_grid",
     "open_backend",
     "payload_from_result",
-    "record_session_trace",
     "render_campaign_report",
-    "replay_session_trace",
     "result_from_payload",
     "run_campaign",
     "run_mapped",
@@ -117,5 +103,4 @@ __all__ = [
     "summary_table",
     "table_to_csv",
     "task_from_payload",
-    "trace_key",
 ]

@@ -64,6 +64,7 @@ Seven subcommands cover the common workflows::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.analysis.traces import ascii_gantt, trace_to_csv
@@ -77,7 +78,12 @@ from repro.core.bounds import (
 from repro.exceptions import ReproError
 from repro.experiments import available_experiments, run_experiment
 from repro.lowerbounds.flow_combinatorial import best_flow_time_lower_bound
-from repro.simulation.engine import FlowTimeEngine
+from repro.simulation.engine import (
+    DISPATCH_ENV_VAR,
+    DISPATCH_MODES,
+    FlowTimeEngine,
+    default_dispatch_mode,
+)
 from repro.simulation.metrics import summarize
 from repro.simulation.validation import validate_result
 from repro.solvers import list_algorithms, make_policy, solve
@@ -107,9 +113,18 @@ def _shard_source_args(sub: argparse.ArgumentParser) -> None:
                      help="how jobs are assigned to shards (default: hash)")
     sub.add_argument("--workers", type=int, default=1,
                      help="worker processes for the shard fan-out")
-    sub.add_argument("--dispatch", default=None,
-                     choices=("indexed", "scan", "vectorized"),
-                     help="engine dispatch mode (default: indexed, env REPRO_DISPATCH)")
+    _add_dispatch_flag(sub)
+
+
+def _add_dispatch_flag(parser: argparse.ArgumentParser) -> None:
+    """Add ``--dispatch`` with choices and default text taken from the engine."""
+    try:
+        default = default_dispatch_mode()
+    except ReproError:  # reported when an engine is built, not while parsing
+        default = f"invalid {DISPATCH_ENV_VAR}={os.environ[DISPATCH_ENV_VAR]!r}"
+    parser.add_argument("--dispatch", default=None, choices=DISPATCH_MODES,
+                        help=f"engine dispatch mode (default: {default}, "
+                             f"env {DISPATCH_ENV_VAR})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,9 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("auto", "ndjson", "csv"),
                        help="trace format (auto = by file extension; stdin defaults "
                             "to ndjson)")
-    serve.add_argument("--dispatch", default=None,
-                       choices=("indexed", "scan", "vectorized"),
-                       help="engine dispatch mode (default: indexed, env REPRO_DISPATCH)")
+    _add_dispatch_flag(serve)
     serve.add_argument("--name", default=None,
                        help="session label (used for the assembled instance and result)")
     serve.add_argument("--quiet", action="store_true",
@@ -271,8 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--param", action="append", default=[], metavar="NAME=VALUE",
         help="algorithm parameter, validated against the registry schema (repeatable)",
     )
-    loadgen.add_argument("--dispatch", default=None,
-                         choices=("indexed", "scan", "vectorized"))
+    _add_dispatch_flag(loadgen)
     loadgen.add_argument("--scenario", action="append", default=None, metavar="NAME",
                          help="catalog scenario to cycle across sessions "
                               "(repeatable; default: the whole catalog)")

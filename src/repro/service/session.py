@@ -104,6 +104,42 @@ def _normalise_machines(machines: "int | Sequence[Machine]", alpha: float) -> tu
     return fleet
 
 
+class _DecisionLog:
+    """A session's stepper observer: the decision-event buffer and live counters.
+
+    The counters behind :meth:`SchedulerSession.stats` are O(1) to read, so
+    observability never scans the decision history.  The log is its own
+    object rather than a bound method of the session so that the stepper
+    never references its session: a dropped session is freed by reference
+    counting alone, with no session → stepper → session cycle.
+    """
+
+    __slots__ = ("events", "dispatched", "started", "completed", "rejected", "last_event_time")
+
+    def __init__(self) -> None:
+        self.events: list[DecisionEvent] = []
+        self.dispatched = 0
+        self.started = 0
+        self.completed = 0
+        self.rejected = 0
+        self.last_event_time = 0.0
+
+    def observe(self, event: DecisionEvent) -> None:
+        """Record the event and bump the live counters."""
+        self.events.append(event)
+        kind = event.kind
+        if kind == "complete":
+            self.completed += 1
+        elif kind == "reject":
+            self.rejected += 1
+        elif kind == "start":
+            self.started += 1
+        else:
+            self.dispatched += 1
+        if event.time > self.last_event_time:
+            self.last_event_time = event.time
+
+
 class SchedulerSession:
     """A long-running, resumable streaming run of one registered algorithm.
 
@@ -138,15 +174,9 @@ class SchedulerSession:
         self.policy = _build_policy(spec, self.params)
         fleet_instance = Instance(self.machines, (), name=self.name)
         self.engine = _ENGINES[spec.model](fleet_instance, dispatch=dispatch)
-        self._events: list[DecisionEvent] = []
-        # O(1) live counters behind stats(); maintained by the observer so
-        # observability never scans the decision history.
-        self._dispatched = 0
-        self._started = 0
-        self._completed = 0
-        self._rejected = 0
-        self._last_event_time = 0.0
-        self._stepper = self.engine.stepper(self.policy, observer=self._observe)
+        self._log = _DecisionLog()
+        self._events = self._log.events
+        self._stepper = self.engine.stepper(self.policy, observer=self._log.observe)
         self._jobs: list[Job] = []
         self._watermark = 0.0
         #: When ``False``, events handed out by poll()/take_events() are
@@ -167,7 +197,7 @@ class SchedulerSession:
 
     @property
     def dispatch(self) -> str:
-        """Dispatch mode of the underlying engine (``indexed``/``scan``/``vectorized``)."""
+        """Dispatch mode of the underlying engine (``vectorized`` or the ``scan`` oracle)."""
         return self.engine.dispatch
 
     @property
@@ -206,21 +236,6 @@ class SchedulerSession:
     def __len__(self) -> int:
         return len(self._jobs)
 
-    def _observe(self, event: DecisionEvent) -> None:
-        """Stepper observer: record the event and bump the live counters."""
-        self._events.append(event)
-        kind = event.kind
-        if kind == "complete":
-            self._completed += 1
-        elif kind == "reject":
-            self._rejected += 1
-        elif kind == "start":
-            self._started += 1
-        else:
-            self._dispatched += 1
-        if event.time > self._last_event_time:
-            self._last_event_time = event.time
-
     def stats(self) -> dict:
         """Live observability counters (cheap: no decision-history scan).
 
@@ -230,18 +245,19 @@ class SchedulerSession:
         wire protocol's ``stats`` op.
         """
         submitted = len(self._jobs)
+        log = self._log
         return {
             "algorithm": self.spec.algorithm_id,
             "dispatch": self.engine.dispatch,
             "finalized": self.finalized,
             "submitted": submitted,
-            "dispatched": self._dispatched,
-            "started": self._started,
-            "completed": self._completed,
-            "rejected": self._rejected,
-            "backlog": submitted - self._completed - self._rejected,
+            "dispatched": log.dispatched,
+            "started": log.started,
+            "completed": log.completed,
+            "rejected": log.rejected,
+            "backlog": submitted - log.completed - log.rejected,
             "events_emitted": self.events_emitted,
-            "last_event_time": self._last_event_time,
+            "last_event_time": log.last_event_time,
             "watermark": self._watermark,
         }
 
@@ -480,7 +496,7 @@ class SchedulerSession:
         """Rebuild a session from a :meth:`snapshot` (dict or JSON string).
 
         Replays the recorded operations in order; determinism of the engine,
-        the policy and the indexed dispatch structures guarantees the
+        the policy and the dispatch structures guarantees the
         restored session is in the same state as the one that was
         snapshotted (including the exact decision-event stream).
         """
@@ -563,9 +579,12 @@ def open_session(
         exponent ``alpha`` is created) or an explicit
         :class:`~repro.simulation.machine.Machine` sequence.
     dispatch:
-        Engine dispatch mode override (``indexed``/``scan``/``vectorized``);
-        defaults to the engine's environment-controlled default.  All modes
-        finalize to byte-identical outcomes.
+        Engine dispatch mode override: one of
+        :data:`~repro.simulation.engine.DISPATCH_MODES` (``vectorized``, the
+        production backend, or the ``scan`` reference oracle); defaults to
+        :func:`~repro.simulation.engine.default_dispatch_mode` (``vectorized``
+        unless ``REPRO_DISPATCH`` overrides it).  Both modes finalize to
+        byte-identical outcomes.
     name:
         Label used for the assembled instance and result.
     retain_events:

@@ -57,14 +57,14 @@ __all__ = [
     "default_dispatch_mode",
 ]
 
-#: Recognised dispatch modes: ``"indexed"`` answers select-next argmins from
-#: lazily-invalidated per-machine heaps (see :mod:`repro.simulation.indexed`);
-#: ``"scan"`` keeps the reference linear scans; ``"vectorized"`` adds the
-#: struct-of-arrays backend (:mod:`repro.simulation.soa`) — SoA job columns,
-#: an array event queue, a fused event loop and optional numba-JIT Fenwick
-#: kernels — on top of the indexed heaps.  All three produce byte-identical
-#: schedules; the three-way equivalence suite asserts it.
-DISPATCH_MODES = ("indexed", "scan", "vectorized")
+#: Recognised dispatch modes: ``"vectorized"`` is the production backend
+#: (:mod:`repro.simulation.soa`) — struct-of-arrays job columns, an array
+#: event queue, a fused event loop and a fused ``lambda_ij`` sweep on top of
+#: the lazily-invalidated heaps and Fenwick trees of
+#: :mod:`repro.simulation.indexed`; ``"scan"`` keeps the readable reference
+#: linear scans and serves as the oracle.  Both produce byte-identical
+#: schedules; the equivalence suite asserts it.
+DISPATCH_MODES = ("vectorized", "scan")
 
 #: Environment override for the default mode, read at engine construction so
 #: campaign worker processes and tests can pin it without code changes.
@@ -73,7 +73,7 @@ DISPATCH_ENV_VAR = "REPRO_DISPATCH"
 
 def default_dispatch_mode() -> str:
     """The dispatch mode engines use when none is passed explicitly."""
-    mode = os.environ.get(DISPATCH_ENV_VAR, "indexed")
+    mode = os.environ.get(DISPATCH_ENV_VAR, "vectorized")
     if mode not in DISPATCH_MODES:
         raise SimulationError(
             f"{DISPATCH_ENV_VAR} must be one of {DISPATCH_MODES}, got {mode!r}"
@@ -144,7 +144,7 @@ class NonPreemptiveEngine(ABC):
         """
         if self.dispatch == "vectorized":
             # Imported lazily: soa builds on stepper/state, so a module-level
-            # import would be circular, and the other modes never need it.
+            # import would be circular.
             from repro.simulation.soa import VectorizedStepper
 
             return VectorizedStepper(self, policy, observer=observer)

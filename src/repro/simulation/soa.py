@@ -1,8 +1,9 @@
 """Struct-of-arrays dispatch backend (``dispatch="vectorized"``).
 
-The third dispatch mode next to ``indexed`` and ``scan``.  The engine loop,
-the decisions and every float operation are the same — what changes is the
-data layout and the per-event Python frame count:
+The production dispatch mode; ``scan`` is the readable reference oracle.  The
+engine loop, the decisions and every float operation are the same as the
+oracle's — what changes is the data layout and the per-event Python frame
+count:
 
 * **Job attributes as columns** (:class:`SoAColumns`): release / weight /
   size-per-machine / deadline lists indexed by row, filled directly from
@@ -24,15 +25,13 @@ data layout and the per-event Python frame count:
 * **A fused event loop** (:meth:`VectorizedStepper._run_core`): ``drain`` /
   ``advance_to`` process events without constructing ``Event`` objects or
   dispatching through ``step()``, with the same handler bodies inlined.
-* **Optional numba JIT** (:mod:`repro.simulation.kernels`): the Fenwick
-  trees switch to a numpy layout walked by JIT-able kernels when numba is
-  importable (or when forced via ``REPRO_VECTORIZED_KERNELS``); the default
-  pure-Python list layout is the fallback and produces identical bits.
 
-Byte-identity with the other two modes is by construction — identical float
-expressions evaluated in identical order, identical event ordering
-``(time, kind, seq)``, identical tie-breaks — and is enforced by the
-three-way differential harness in ``tests/test_indexed_dispatch.py``.
+Select-next argmins come from the lazily-invalidated heaps and the order
+statistics from the plain-list Fenwick trees of
+:mod:`repro.simulation.indexed`.  Byte-identity with ``scan`` is by
+construction — identical float expressions evaluated in identical order,
+identical event ordering ``(time, kind, seq)``, identical tie-breaks — and is
+enforced by the differential harness in ``tests/test_dispatch_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -43,17 +42,15 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.exceptions import SimulationError
 from repro.simulation.events import Event, EventKind
-from repro.simulation.indexed import PendingPrefixStats
+from repro.simulation.indexed import PendingPrefixStats, build_priority_ranks
 from repro.simulation.instance import Instance
 from repro.simulation.job import Job
-from repro.simulation.kernels import active_layout, fenwick_prefix, fenwick_update
 from repro.simulation.schedule import ExecutionInterval, JobRecord
 from repro.simulation.state import PREFIX_SCAN_CUTOFF, EngineState, RunningInfo
 from repro.simulation.stepper import DecisionEvent, EngineStepper
 
 __all__ = [
     "SoAColumns",
-    "VectorizedPrefixStats",
     "VectorizedState",
     "VectorizedStepper",
 ]
@@ -149,51 +146,6 @@ class SoAColumns:
             col.extend(sizes[:, machine].tolist())
 
 
-class VectorizedPrefixStats(PendingPrefixStats):
-    """Fenwick order statistics with a selectable tree layout.
-
-    ``layout="lists"`` inherits the plain-list trees of the base class —
-    the fast pure-Python path.  ``layout="numpy"`` stores both trees as
-    contiguous 2-D arrays (one row per machine) and walks them through the
-    :mod:`~repro.simulation.kernels` functions, which numba JIT-compiles
-    when importable.  Both layouts add floats in Fenwick-node order, so
-    query results are bit-identical (the layout-equivalence tests assert
-    it on full runs).
-    """
-
-    __slots__ = ("layout",)
-
-    def __init__(self, ranks: list[dict[int, int]], num_jobs: int,
-                 layout: str = "lists") -> None:
-        super().__init__(ranks, num_jobs)
-        if layout not in ("lists", "numpy"):
-            raise ValueError(f"layout must be 'lists' or 'numpy', got {layout!r}")
-        self.layout = layout
-        if layout == "numpy":
-            import numpy as np
-
-            self._size = np.zeros((len(ranks), num_jobs + 1), dtype=np.float64)
-            self._count = np.zeros((len(ranks), num_jobs + 1), dtype=np.int64)
-
-    def _update(self, machine: int, rank: int, size: float, delta: int) -> None:
-        if self.layout == "lists":
-            super()._update(machine, rank, size, delta)
-            return
-        fenwick_update(self._count[machine], self._size[machine],
-                       rank + 1, self._n, size, delta)
-
-    def stats_below(self, machine: int, rank: int) -> tuple[int, float]:
-        if self.layout == "lists":
-            return super().stats_below(machine, rank)
-        count, total = fenwick_prefix(self._count[machine], self._size[machine], rank)
-        return int(count), float(total)
-
-    def prefix_of(self, machine: int, job_id: int) -> tuple[int, float]:
-        if self.layout == "lists":
-            return super().prefix_of(machine, job_id)
-        return self.stats_below(machine, self._ranks[machine][job_id])
-
-
 class VectorizedState(EngineState):
     """Engine state whose dispatch surrogates run over the SoA columns.
 
@@ -218,7 +170,6 @@ class VectorizedState(EngineState):
         self._fen_ranks: list[dict[int, int]] | None = None
         self._fen_counts = None
         self._fen_sizes = None
-        self._fen_numpy = False
 
     def _fen_cache(self) -> "PendingPrefixStats | None":
         stats = self.prefix_stats
@@ -227,7 +178,6 @@ class VectorizedState(EngineState):
             self._fen_ranks = stats._ranks
             self._fen_counts = stats._count
             self._fen_sizes = stats._size
-            self._fen_numpy = getattr(stats, "layout", "lists") == "numpy"
         return stats
 
     def spt_lambda_argmin(self, job: Job, epsilon: float) -> tuple[int | None, float]:
@@ -259,7 +209,6 @@ class VectorizedState(EngineState):
         fen_ranks = self._fen_ranks
         fen_counts = self._fen_counts
         fen_sizes = self._fen_sizes
-        fen_numpy = self._fen_numpy
         best_machine: int | None = None
         best_lambda = inf
 
@@ -274,22 +223,16 @@ class VectorizedState(EngineState):
                 if stats is not None and not unranked[machine]:
                     rank = fen_ranks[machine].get(job_id)
                     if rank is not None:
-                        if fen_numpy:
-                            count, total = fenwick_prefix(
-                                fen_counts[machine], fen_sizes[machine], rank
-                            )
-                            prefix = (int(count), float(total))
-                        else:
-                            ctree = fen_counts[machine]
-                            stree = fen_sizes[machine]
-                            pos = rank
-                            count = 0
-                            total = 0.0
-                            while pos > 0:
-                                count += ctree[pos]
-                                total += stree[pos]
-                                pos -= pos & -pos
-                            prefix = (count, total)
+                        ctree = fen_counts[machine]
+                        stree = fen_sizes[machine]
+                        pos = rank
+                        count = 0
+                        total = 0.0
+                        while pos > 0:
+                            count += ctree[pos]
+                            total += stree[pos]
+                            pos -= pos & -pos
+                        prefix = (count, total)
                 if prefix is None:
                     # Not materialised yet, an unranked job in play, or a
                     # job outside the rank universe: the slow path owns the
@@ -301,7 +244,6 @@ class VectorizedState(EngineState):
                         fen_ranks = self._fen_ranks
                         fen_counts = self._fen_counts
                         fen_sizes = self._fen_sizes
-                        fen_numpy = self._fen_numpy
             if prefix is not None:
                 preceding, waiting = prefix
                 succeeding = q - preceding
@@ -463,26 +405,19 @@ class VectorizedStepper(EngineStepper):
 
     Same construction, validation, handler semantics and single-use
     contract as :class:`EngineStepper` — the overrides swap in the SoA
-    state, the array event queue, the layout-selectable prefix stats, a
-    columnar ``offer_chunk`` ingestion path and the fused
+    state, the array event queue, a columnar rank build, a columnar
+    ``offer_chunk`` ingestion path and the fused
     ``drain``/``advance_to`` loop.  ``step()`` is inherited and still
     processes one :class:`Event` at a time for API parity.
     """
 
     def _make_state(self, instance: Instance) -> VectorizedState:
-        # Resolve the kernel-layout env var up front: an invalid value must
-        # fail at engine construction, not whenever the Fenwick stats happen
-        # to materialise mid-run, and the layout stays pinned for the run.
-        self._kernel_layout = active_layout()
         return VectorizedState(instance)
 
     def _make_queue(self) -> _ArrayEventQueue:
         return _ArrayEventQueue()
 
-    def _make_stats(self, ranks: list[dict[int, int]], num_jobs: int) -> VectorizedPrefixStats:
-        return VectorizedPrefixStats(ranks, num_jobs, layout=self._kernel_layout)
-
-    def _build_ranks(self, jobs, num_machines: int, key_fn) -> list[dict[int, int]]:
+    def _rank_builder(self, state: VectorizedState):
         """Columnar rank build: lexsort straight over the SoA columns.
 
         When the policy exposes its priority key as SoA columns
@@ -491,30 +426,37 @@ class VectorizedStepper(EngineStepper):
         :func:`~repro.simulation.indexed.build_priority_ranks` collapses to
         one ``numpy.lexsort`` per machine over the already-resident columns.
         Keys are unique (they end in the job id), so the resulting ranks are
-        identical to the generic build no matter the input order.
+        identical to the generic build no matter the input order.  The
+        builder closes over the columns and the policy hook, not the state.
         """
-        columns = self.state.columns
         rank_columns = getattr(self.policy, "priority_rank_columns", None)
-        if rank_columns is None or len(columns) != len(jobs):
-            return super()._build_ranks(jobs, num_machines, key_fn)
-        import numpy as np
+        if rank_columns is None:
+            return build_priority_ranks
+        columns = state.columns
 
-        ids = columns.ids
-        n = len(ids)
-        ranks: list[dict[int, int]] = []
-        for key_cols in rank_columns(columns):
-            if n == 0:
-                ranks.append({})
-                continue
-            arrays = [np.asarray(col, dtype=float) for col in key_cols]
-            # lexsort sorts by the LAST key first; reverse so the first
-            # column is the primary key (same convention as the generic
-            # build over key tuples).
-            order = np.lexsort(tuple(reversed(arrays)))
-            rank_of = np.empty(n, dtype=np.int64)
-            rank_of[order] = np.arange(n)
-            ranks.append({job_id: int(rank) for job_id, rank in zip(ids, rank_of)})
-        return ranks
+        def build_ranks(jobs, num_machines: int, key_fn) -> list[dict[int, int]]:
+            if len(columns) != len(jobs):
+                return build_priority_ranks(jobs, num_machines, key_fn)
+            import numpy as np
+
+            ids = columns.ids
+            n = len(ids)
+            ranks: list[dict[int, int]] = []
+            for key_cols in rank_columns(columns):
+                if n == 0:
+                    ranks.append({})
+                    continue
+                arrays = [np.asarray(col, dtype=float) for col in key_cols]
+                # lexsort sorts by the LAST key first; reverse so the first
+                # column is the primary key (same convention as the generic
+                # build over key tuples).
+                order = np.lexsort(tuple(reversed(arrays)))
+                rank_of = np.empty(n, dtype=np.int64)
+                rank_of[order] = np.arange(n)
+                ranks.append({job_id: int(rank) for job_id, rank in zip(ids, rank_of)})
+            return ranks
+
+        return build_ranks
 
     # -- ingestion -----------------------------------------------------------------
 
@@ -563,8 +505,8 @@ class VectorizedStepper(EngineStepper):
         array queue: identical state mutations, record/interval contents,
         observer calls and machine-iteration order, without per-event
         ``Event`` construction or handler dispatch.  Any behavioural
-        divergence from the inherited loop is a bug the three-way
-        differential harness is designed to catch.
+        divergence from the inherited loop is a bug the differential
+        harness is designed to catch.
         """
         if self._finished:
             if len(self.queue) and (bound is None or self.queue.peek_time() <= bound):

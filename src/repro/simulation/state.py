@@ -279,7 +279,7 @@ class EngineState:
         policy never opted into prefix stats.  Past the cutoff the Fenwick
         trees answer in O(log n) — same count, same sum up to float
         accumulation order, fully deterministic, and shared by both dispatch
-        modes, so indexed and scan runs stay byte-identical.  Assumes the job
+        modes, so vectorized and scan runs stay byte-identical.  Assumes the job
         itself is not pending (true during dispatch).
 
         The trees are materialised on first use: rank building and tree

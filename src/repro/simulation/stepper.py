@@ -107,6 +107,24 @@ class DecisionEvent(NamedTuple):
         )
 
 
+def _prefix_stats_factory(jobs_by_id: Mapping[int, Job], num_machines: int, key_fn, build_ranks):
+    """The lazy Fenwick-stats builder a stepper installs on its state.
+
+    Ranks cover every job registered with the state at materialisation
+    time: the full instance on the batch path (all jobs are offered before
+    any event runs), everything ingested so far on a streaming session.
+    The factory closes over plain data and functions only — never the
+    state or the stepper — so a finished run holds no reference cycle and
+    is freed by reference counting alone.
+    """
+
+    def factory() -> PendingPrefixStats:
+        jobs = list(jobs_by_id.values())
+        return PendingPrefixStats(build_ranks(jobs, num_machines, key_fn), len(jobs))
+
+    return factory
+
+
 class EngineStepper:
     """Resumable event-loop state of one simulation run.
 
@@ -134,25 +152,15 @@ class EngineStepper:
         index: IndexedPending | None = None
         stats_factory = None
         if key_fn is not None:
-            # Both the indexed and the vectorized modes answer select-next
-            # argmins from the lazily-invalidated heaps; only scan keeps
-            # the reference linear scans.
-            if engine.dispatch in ("indexed", "vectorized"):
+            # Only the scan oracle keeps the reference linear scans; the
+            # production backend answers select-next argmins from the
+            # lazily-invalidated heaps.
+            if engine.dispatch != "scan":
                 index = IndexedPending(instance.num_machines, key_fn)
             if getattr(policy, "wants_prefix_stats", False):
-                num_machines = instance.num_machines
-                make_stats = self._make_stats
-
-                build_ranks = self._build_ranks
-
-                def stats_factory(state=state, key_fn=key_fn, num_machines=num_machines):
-                    # Ranks cover every job registered with the state at
-                    # materialisation time: the full instance on the batch
-                    # path (all jobs are offered before any event runs),
-                    # everything ingested so far on a streaming session.
-                    jobs = list(state.jobs_by_id.values())
-                    ranks = build_ranks(jobs, num_machines, key_fn)
-                    return make_stats(ranks, len(jobs))
+                stats_factory = _prefix_stats_factory(
+                    state.jobs_by_id, instance.num_machines, key_fn, self._rank_builder(state)
+                )
 
         state.install_priority(key_fn, index, stats_factory)
 
@@ -179,9 +187,7 @@ class EngineStepper:
         Policies that watch their own run (the adaptive meta-scheduler's
         telemetry monitor) expose ``observe_decision``; it is chained in
         front of the external observer so the decision stream feeds the
-        policy identically on the batch and streaming paths.  Sessions that
-        replace themselves in place (``hot_switch``) re-call this to rebind
-        the external sink.
+        policy identically on the batch and streaming paths.
         """
         policy_observer = getattr(self.policy, "observe_decision", None)
         if callable(policy_observer):
@@ -206,13 +212,9 @@ class EngineStepper:
         """Build the event queue; the vectorized backend uses an array-backed one."""
         return EventQueue()
 
-    def _make_stats(self, ranks: list[dict[int, int]], num_jobs: int) -> PendingPrefixStats:
-        """Build the Fenwick prefix stats over freshly computed priority ranks."""
-        return PendingPrefixStats(ranks, num_jobs)
-
-    def _build_ranks(self, jobs, num_machines: int, key_fn) -> list[dict[int, int]]:
-        """Compute per-machine priority ranks; the SoA backend builds columnar."""
-        return build_priority_ranks(jobs, num_machines, key_fn)
+    def _rank_builder(self, state: EngineState):
+        """The per-machine priority-rank builder; the SoA backend builds columnar."""
+        return build_priority_ranks
 
     # -- ingestion -----------------------------------------------------------------
 

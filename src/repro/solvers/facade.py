@@ -90,10 +90,12 @@ def solve(
         the algorithm's declared model raises :class:`SolverModelError`
         instead of silently running under a different cost model.
     dispatch:
-        Engine dispatch mode override (``indexed`` / ``scan`` /
-        ``vectorized``); defaults to the engine's environment-controlled
-        default (``REPRO_DISPATCH``).  All modes produce byte-identical
-        outcomes.  Only meaningful for policy-based engine algorithms —
+        Engine dispatch mode override: one of
+        :data:`~repro.simulation.engine.DISPATCH_MODES` (``vectorized``, the
+        production backend, or the ``scan`` reference oracle); defaults to
+        :func:`~repro.simulation.engine.default_dispatch_mode`
+        (``vectorized`` unless ``REPRO_DISPATCH`` overrides it).  Both modes
+        produce byte-identical outcomes.  Only meaningful for policy-based engine algorithms —
         reference solvers and runner-backed algorithms build their own
         execution and reject an explicit override.
     params:

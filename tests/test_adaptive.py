@@ -47,13 +47,12 @@ from repro.cli import main as cli_main
 from repro.exceptions import InvalidParameterError, SessionStateError
 from repro.experiments import run_experiment
 from repro.service import open_session
+from repro.simulation.engine import DISPATCH_MODES
 from repro.simulation.job import Job
 from repro.simulation.stepper import DecisionEvent
 from repro.solvers import solve
 from repro.utils.serialization import canonical_json
 from repro.workloads.generators import InstanceGenerator
-
-_DISPATCH_MODES = ("indexed", "scan", "vectorized")
 
 
 def _job(job_id: int, release: float, size: float) -> Job:
@@ -354,7 +353,7 @@ class TestMetaSolver:
         instance = _instance(n=120)
         reference = solve(instance, "meta", epsilon=0.25)
         reference_row = canonical_json(reference.as_row())
-        for dispatch in _DISPATCH_MODES:
+        for dispatch in DISPATCH_MODES:
             batch = solve(instance, "meta", dispatch=dispatch, epsilon=0.25)
             assert canonical_json(batch.as_row()) == reference_row
             _assert_outcome_identical(batch, reference)
@@ -405,7 +404,7 @@ class TestHotSwitch:
     def test_hot_switch_equals_uninterrupted_plan_all_modes(self):
         instance = _instance(n=100)
         cut = 40
-        for dispatch in _DISPATCH_MODES:
+        for dispatch in DISPATCH_MODES:
             live = open_session("meta", instance.machines, dispatch=dispatch)
             live.submit_many(instance.jobs[:cut])
             event = live.hot_switch("rejection-flow")
@@ -417,6 +416,32 @@ class TestHotSwitch:
             batch = solve(instance, "meta", dispatch=dispatch, plan=plan)
             assert batch.extras["meta_switch_trace"].endswith("rejection-flow")
 
+    def test_hot_switch_keeps_the_decision_stream_live(self):
+        # After the in-place rebuild the stepper must report to the decision
+        # log this session now holds: counters and the event stream keep
+        # growing and end equal to a cold session with the same plan.
+        instance = _instance(n=100)
+        cut = 40
+        for dispatch in DISPATCH_MODES:
+            live = open_session("meta", instance.machines, dispatch=dispatch)
+            live.submit_many(instance.jobs[:cut])
+            live.poll()
+            event = live.hot_switch("greedy")
+            before = live.stats()["events_emitted"]
+            live.submit_many(instance.jobs[cut:])
+            live.poll()
+            assert live.stats()["events_emitted"] > before
+            cold = open_session(
+                "meta", instance.machines, dispatch=dispatch,
+                plan=(f"{event.index}:greedy",),
+            )
+            cold.submit_many(instance.jobs)
+            cold.poll()
+            live.finalize()
+            cold.finalize()
+            assert live.events == cold.events
+            assert live.stats() == cold.stats()
+
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         instance=flow_instances(max_jobs=12),
@@ -427,7 +452,7 @@ class TestHotSwitch:
         # Hot-switching mid-stream is indistinguishable from a session that
         # carried the same forced plan from the start — in every dispatch mode.
         cut = min(cut, len(instance.jobs))
-        for dispatch in _DISPATCH_MODES:
+        for dispatch in DISPATCH_MODES:
             live = open_session("meta", instance.machines, dispatch=dispatch)
             live.submit_many(instance.jobs[:cut])
             event = live.hot_switch(target)

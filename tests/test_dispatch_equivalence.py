@@ -1,17 +1,16 @@
-"""Three-way differential harness over the dispatch backends, plus unit tests.
+"""Differential harness: the production backend against the scan oracle.
 
-The contract of the dispatch backends (PRs: indexed scheduler state,
-vectorized SoA backend) is that they change *how* decisions are computed —
-lazily-invalidated heaps, Fenwick order statistics, struct-of-arrays fused
-sweeps — but never *which* decisions are made:
+The contract of the ``vectorized`` production backend is that it changes
+*how* decisions are computed — lazily-invalidated heaps, Fenwick order
+statistics, struct-of-arrays fused sweeps — but never *which* decisions are
+made relative to the readable ``scan`` reference oracle:
 ``FlowTimeEngine(instance, dispatch=mode)`` must produce byte-identical
 :class:`SimulationResult` objects for every ``mode`` in
 :data:`~repro.simulation.engine.DISPATCH_MODES`, for every policy on every
 instance.  The equivalence suite drives that claim across the property-based
 instance generators of ``test_property_based`` and the named scenario
 catalog; the unit tests cover the data structures directly, including lazy
-invalidation under mid-run Rule-1 rejection and both Fenwick layouts of the
-vectorized backend.
+invalidation under mid-run Rule-1 rejection.
 """
 
 from __future__ import annotations
@@ -40,14 +39,6 @@ from repro.simulation.indexed import (
 )
 from repro.simulation.instance import Instance
 from repro.simulation.job import Job
-from repro.simulation.kernels import (
-    HAVE_NUMBA,
-    KERNEL_LAYOUT_ENV_VAR,
-    active_layout,
-    fenwick_prefix,
-    fenwick_update,
-    maybe_jit,
-)
 from repro.simulation.speed_engine import SpeedScalingEngine
 from repro.simulation.state import PendingSet
 from repro.workloads.adversarial import overload_burst_instance
@@ -69,12 +60,6 @@ def _assert_identical(*results):
 
 def _run_modes(instance, policy, engine_cls=FlowTimeEngine, modes=DISPATCH_MODES):
     return [engine_cls(instance, dispatch=mode).run(policy) for mode in modes]
-
-
-def _run_both(instance, policy, engine_cls=FlowTimeEngine):
-    # Name kept for history; runs the full three-way matrix since the
-    # vectorized backend landed.
-    return _run_modes(instance, policy, engine_cls)
 
 
 # --------------------------------------------------------------------------------------
@@ -274,9 +259,42 @@ class TestPendingSet:
 
 
 class TestDispatchModes:
-    def test_default_mode_is_indexed(self, monkeypatch):
+    def test_default_mode_is_vectorized(self, monkeypatch):
         monkeypatch.delenv("REPRO_DISPATCH", raising=False)
-        assert default_dispatch_mode() == "indexed"
+        assert DISPATCH_MODES == ("vectorized", "scan")
+        assert default_dispatch_mode() == "vectorized"
+
+    def test_retired_indexed_mode_rejected(self, monkeypatch):
+        # The heap-only mode was folded into vectorized; no alias survives.
+        instance = Instance.build(1, [Job(0, 0.0, (1.0,))])
+        with pytest.raises(SimulationError, match="must be one of"):
+            FlowTimeEngine(instance, dispatch="indexed")
+        monkeypatch.setenv("REPRO_DISPATCH", "indexed")
+        with pytest.raises(SimulationError, match="must be one of"):
+            default_dispatch_mode()
+
+    @pytest.mark.parametrize("command", ["shard-solve", "serve", "loadgen"])
+    def test_cli_dispatch_flags_follow_the_engine(self, command, monkeypatch, capsys):
+        # Choices and the advertised default come from DISPATCH_MODES and
+        # default_dispatch_mode(), so the help cannot drift from the engine.
+        from repro.cli import build_parser
+
+        monkeypatch.delenv("REPRO_DISPATCH", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--dispatch", "indexed"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'indexed'" in capsys.readouterr().err
+        args = build_parser().parse_args([command, "--dispatch", "scan"])
+        assert args.dispatch == "scan"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--dispatch {vectorized,scan}" in help_text
+        assert "(default: vectorized, env REPRO_DISPATCH)" in help_text
+        monkeypatch.setenv("REPRO_DISPATCH", "scan")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        assert "(default: scan," in " ".join(capsys.readouterr().out.split())
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISPATCH", "scan")
@@ -370,103 +388,10 @@ class TestDeliberateIdlePolicy:
 
         jobs = [Job(0, 0.0, (1.0,)), Job(1, 5.0, (1.0,))]
         instance = Instance.build(1, jobs)
-        result = FlowTimeEngine(instance, dispatch="indexed").run(HoldBack())
-        assert result.record(0).start == pytest.approx(5.0)
-        assert result.record(1).finished
-
-
-# --------------------------------------------------------------------------------------
-# Vectorized backend: optional-JIT kernels and Fenwick layouts
-# --------------------------------------------------------------------------------------
-
-
-class TestKernelLayouts:
-    def test_auto_layout_matches_numba_availability(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_LAYOUT_ENV_VAR, raising=False)
-        assert active_layout() == ("numpy" if HAVE_NUMBA else "lists")
-
-    @pytest.mark.parametrize("layout", ["numpy", "lists"])
-    def test_explicit_layout_honoured(self, monkeypatch, layout):
-        monkeypatch.setenv(KERNEL_LAYOUT_ENV_VAR, layout)
-        assert active_layout() == layout
-
-    def test_unknown_layout_rejected(self, monkeypatch):
-        from repro.exceptions import InvalidParameterError
-
-        monkeypatch.setenv(KERNEL_LAYOUT_ENV_VAR, "torch")
-        with pytest.raises(InvalidParameterError, match=KERNEL_LAYOUT_ENV_VAR):
-            active_layout()
-
-    def test_unknown_layout_fails_at_engine_construction(self, monkeypatch):
-        # The env var is resolved when the vectorized stepper is built, not
-        # lazily at first Fenwick materialisation — a typo must not run a
-        # whole workload on a different layout than the operator asked for.
-        from repro.exceptions import InvalidParameterError
-
-        monkeypatch.setenv(KERNEL_LAYOUT_ENV_VAR, "torch")
-        instance = Instance.build(1, [Job(0, 0.0, (1.0,))])
-        engine = FlowTimeEngine(instance, dispatch="vectorized")
-        with pytest.raises(InvalidParameterError, match=KERNEL_LAYOUT_ENV_VAR):
-            engine.stepper(RejectionFlowTimeScheduler(0.5))
-
-    def test_maybe_jit_degrades_to_identity(self):
-        def walk(x):
-            return x
-
-        jitted = maybe_jit(walk)
-        if HAVE_NUMBA:  # pragma: no cover - depends on the environment
-            assert jitted is not walk
-        else:
-            assert jitted is walk
-
-    def test_fenwick_kernels_roundtrip(self):
-        import numpy as np
-
-        n = 8
-        counts = np.zeros(n + 1, dtype=np.int64)
-        sizes = np.zeros(n + 1, dtype=np.float64)
-        fenwick_update(counts, sizes, 3, n, 2.5, 1)
-        fenwick_update(counts, sizes, 5, n, 1.5, 1)
-        assert fenwick_prefix(counts, sizes, n) == (2, 4.0)
-        assert fenwick_prefix(counts, sizes, 4) == (1, 2.5)
-        fenwick_update(counts, sizes, 3, n, -2.5, -1)
-        assert fenwick_prefix(counts, sizes, n) == (1, 1.5)
-
-    def test_numpy_layout_matches_list_layout_queries(self):
-        from repro.simulation.soa import VectorizedPrefixStats
-
-        jobs = [_job(i, size) for i, size in enumerate([5.0, 2.0, 3.0, 9.0, 1.0])]
-        ranks = build_priority_ranks(jobs, 1, spt_key)
-        listy = VectorizedPrefixStats(ranks, len(jobs), layout="lists")
-        numpyish = VectorizedPrefixStats(ranks, len(jobs), layout="numpy")
-        for stats in (listy, numpyish):
-            for job in jobs[:4]:
-                stats.add(0, job.id, job.sizes[0])
-        for job in jobs:
-            assert numpyish.prefix_of(0, job.id) == listy.prefix_of(0, job.id)
-        listy.remove(0, 1, 2.0)
-        numpyish.remove(0, 1, 2.0)
-        for job in jobs:
-            assert numpyish.prefix_of(0, job.id) == listy.prefix_of(0, job.id)
-
-    def test_unknown_stats_layout_rejected(self):
-        from repro.simulation.soa import VectorizedPrefixStats
-
-        with pytest.raises(ValueError, match="layout"):
-            VectorizedPrefixStats([{}], 1, layout="torch")
-
-    @pytest.mark.parametrize("layout", ["lists", "numpy"])
-    def test_layouts_byte_identical_end_to_end(self, monkeypatch, layout):
-        # The numba-absent "numpy" path must fingerprint identically to the
-        # default list path (and, transitively, to the JIT path, which runs
-        # the very same kernel bodies).  Deep queues force the Fenwick
-        # branch, so the layout actually carries the run.
-        instance = overload_burst_instance(num_machines=4, burst_jobs=60, trailing_shorts=120)
-        policy = RejectionFlowTimeScheduler(epsilon=0.4)
-        reference = FlowTimeEngine(instance, dispatch="indexed").run(policy)
-        monkeypatch.setenv(KERNEL_LAYOUT_ENV_VAR, layout)
-        vectorized = FlowTimeEngine(instance, dispatch="vectorized").run(policy)
-        _assert_identical(reference, vectorized)
+        results = _run_modes(instance, HoldBack())
+        assert results[0].record(0).start == pytest.approx(5.0)
+        assert results[0].record(1).finished
+        _assert_identical(*results)
 
 
 # --------------------------------------------------------------------------------------

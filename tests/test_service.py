@@ -55,6 +55,7 @@ from repro.service.protocol import (
 )
 from repro.service.server import start_server_thread
 from repro.service.session import open_session
+from repro.simulation.engine import DISPATCH_MODES
 from repro.solvers import solve
 from repro.utils.serialization import canonical_json
 from repro.workloads.scenarios import get_scenario
@@ -62,8 +63,6 @@ from repro.workloads.scenarios import get_scenario
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_TRACE = DATA_DIR / "serve_golden_trace.ndjson"
 GOLDEN_OUT = DATA_DIR / "serve_golden_out.ndjson"
-
-_DISPATCH_MODES = ("indexed", "scan", "vectorized")
 
 #: Session options matching the pinned golden transcript.
 GOLDEN_OPTS = {"algorithm": "rejection-flow", "machines": 2, "params": {"epsilon": 0.5}}
@@ -284,14 +283,14 @@ _KILL_REFERENCE = {
     dispatch: canonical_json(
         _reference(_KILL_N, scenario="flash-crowd", dispatch=dispatch)
     )
-    for dispatch in _DISPATCH_MODES
+    for dispatch in DISPATCH_MODES
 }
 
 
 @settings(max_examples=24, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     kill_point=st.integers(min_value=0, max_value=_KILL_N),
-    dispatch=st.sampled_from(_DISPATCH_MODES),
+    dispatch=st.sampled_from(DISPATCH_MODES),
 )
 def test_arbitrary_kill_point_restores_byte_identical(kill_point, dispatch):
     """Crash after any op during a catalog stream; the restored session's

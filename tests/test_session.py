@@ -30,14 +30,14 @@ from repro.exceptions import (
 )
 from repro.service import DecisionEvent, SchedulerSession, open_session, streaming_algorithms
 from repro.service.ndjson import event_line, parse_job_line, read_jobs
-from repro.simulation.engine import FlowTimeEngine
+from repro.simulation.engine import DISPATCH_MODES, FlowTimeEngine
 from repro.simulation.instance import Instance
 from repro.simulation.job import Job
 from repro.solvers import get_solver, solve
+from repro.utils.serialization import canonical_json
 from repro.workloads.adversarial import overload_burst_instance
 from repro.workloads.generators import InstanceGenerator, WeightedInstanceGenerator
 
-_DISPATCH_MODES = ("indexed", "scan", "vectorized")
 
 #: Streaming algorithms with their parameter sets used across the suite.
 _FLOW_STREAMING = [
@@ -72,7 +72,7 @@ class TestBatchEquivalence:
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(instance=flow_instances(), epsilon=st.sampled_from([0.1, 0.3, 0.5, 0.8]))
     def test_theorem1_replay_identical(self, instance, epsilon):
-        for dispatch in _DISPATCH_MODES:
+        for dispatch in DISPATCH_MODES:
             batch = solve(instance, "rejection-flow", epsilon=epsilon)
             _, streamed = _replay(instance, "rejection-flow", dispatch=dispatch, epsilon=epsilon)
             _assert_outcome_identical(streamed, batch)
@@ -82,7 +82,7 @@ class TestBatchEquivalence:
     def test_all_flow_streaming_algorithms_identical(self, instance):
         for algorithm, params in _FLOW_STREAMING:
             batch = solve(instance, algorithm, **params)
-            for dispatch in _DISPATCH_MODES:
+            for dispatch in DISPATCH_MODES:
                 _, streamed = _replay(instance, algorithm, dispatch=dispatch, **params)
                 _assert_outcome_identical(streamed, batch)
 
@@ -91,7 +91,7 @@ class TestBatchEquivalence:
     def test_speed_scaling_replay_identical(self, instance, epsilon):
         alpha_instance = instance.with_alpha(2.5)
         batch = solve(alpha_instance, "rejection-energy-flow", epsilon=epsilon)
-        for dispatch in _DISPATCH_MODES:
+        for dispatch in DISPATCH_MODES:
             _, streamed = _replay(
                 alpha_instance, "rejection-energy-flow", dispatch=dispatch, epsilon=epsilon
             )
@@ -139,7 +139,7 @@ class TestBatchEquivalence:
         instance = overload_burst_instance(num_machines=4, burst_jobs=60, trailing_shorts=150)
         batch = solve(instance, "rejection-flow", epsilon=0.4)
         assert batch.rejected_count > 0
-        for dispatch in _DISPATCH_MODES:
+        for dispatch in DISPATCH_MODES:
             _, streamed = _replay(instance, "rejection-flow", dispatch=dispatch, epsilon=0.4)
             _assert_outcome_identical(streamed, batch)
 
@@ -272,6 +272,43 @@ class TestSnapshotRestore:
         _assert_outcome_identical(resumed, original)
         _assert_outcome_identical(resumed, batch)
         assert restored.events == session.events
+
+    def test_snapshot_restore_byte_identical_in_every_mode(self):
+        # The op-log replay is the streaming path's determinism gate: in
+        # every dispatch mode a mid-run checkpoint (Fenwick stats
+        # materialised) restores to the byte-identical snapshot and resumes
+        # to the byte-identical outcome and decision stream, and the modes
+        # agree on every byte except the recorded mode name.
+        instance = overload_burst_instance(num_machines=3, burst_jobs=40, trailing_shorts=60)
+        half = len(instance.jobs) // 2
+        snapshots, finals = {}, {}
+        for mode in DISPATCH_MODES:
+            session = open_session(
+                "rejection-flow", instance.machines, dispatch=mode, epsilon=0.4
+            )
+            session.submit_many(instance.jobs[:half])
+            session.poll()
+            snapshot = session.to_json()
+            restored = SchedulerSession.restore(snapshot)
+            assert restored.to_json() == snapshot
+            runs = []
+            for replica in (session, restored):
+                replica.submit_many(instance.jobs[half:])
+                outcome = replica.finalize()
+                runs.append(
+                    canonical_json(
+                        {
+                            "outcome": outcome.as_row(),
+                            "records": outcome.result.records,
+                            "events": [event.as_dict() for event in replica.events],
+                        }
+                    )
+                )
+            assert runs[0] == runs[1], mode
+            finals[mode] = runs[0]
+            snapshots[mode] = snapshot.replace(f'"dispatch":"{mode}"', '"dispatch":null')
+        assert len(set(snapshots.values())) == 1
+        assert len(set(finals.values())) == 1
 
     def test_restore_from_json_string(self):
         instance = InstanceGenerator(num_machines=2, seed=23).generate(40)
@@ -639,60 +676,3 @@ class TestNdjson:
             '{"event":"decision","job_id":0,"kind":"dispatch",'
             '"machine":2,"reason":null,"speed":null,"time":1.0}'
         )
-
-
-# --------------------------------------------------------------------------------------
-# Recorded session traces in the campaign artifact store
-# --------------------------------------------------------------------------------------
-
-
-class TestSessionTraceReplay:
-    def test_record_is_cached_and_replayable(self, tmp_path):
-        from repro.campaigns import ArtifactStore, record_session_trace, replay_session_trace
-
-        store = ArtifactStore(tmp_path)
-        instance = InstanceGenerator(num_machines=3, seed=47).generate(60)
-        first = record_session_trace(store, instance, "rejection-flow", epsilon=0.5)
-        second = record_session_trace(store, instance, "rejection-flow", epsilon=0.5)
-        assert not first.cached and second.cached
-        assert first.payload == second.payload
-        assert first.events and first.outcome_row["algorithm"] == "rejection-flow"
-        replayed = replay_session_trace(store, first.key)
-        assert replayed.payload == first.payload
-
-    def test_key_depends_on_configuration(self, tmp_path):
-        from repro.campaigns import ArtifactStore, record_session_trace
-
-        store = ArtifactStore(tmp_path)
-        instance = InstanceGenerator(num_machines=2, seed=51).generate(30)
-        a = record_session_trace(store, instance, "rejection-flow", epsilon=0.5)
-        b = record_session_trace(store, instance, "rejection-flow", epsilon=0.3)
-        c = record_session_trace(store, instance, "fcfs")
-        assert len({a.key, b.key, c.key}) == 3
-        assert len(store) == 3
-
-    def test_artifact_bytes_stable_across_dispatch_modes(self, tmp_path):
-        from repro.campaigns import ArtifactStore, record_session_trace
-
-        instance = InstanceGenerator(num_machines=3, seed=57).generate(80)
-        payloads = {}
-        for mode in ("indexed", "scan"):
-            store = ArtifactStore(tmp_path / mode)
-            trace = record_session_trace(
-                store, instance, "rejection-flow", dispatch=mode, epsilon=0.5
-            )
-            payloads[mode] = {k: v for k, v in trace.payload.items() if k != "dispatch"}
-        assert payloads["indexed"] == payloads["scan"]
-
-    def test_tampered_trace_fails_replay(self, tmp_path):
-        from repro.campaigns import ArtifactStore, record_session_trace, replay_session_trace
-
-        store = ArtifactStore(tmp_path)
-        instance = InstanceGenerator(num_machines=2, seed=61).generate(20)
-        trace = record_session_trace(store, instance, "fcfs")
-        tampered = dict(trace.payload)
-        tampered["events"] = list(tampered["events"])
-        tampered["events"][0] = {**tampered["events"][0], "time": -1.0}
-        store.save(trace.key, tampered)
-        with pytest.raises(InvalidParameterError, match="diverged"):
-            replay_session_trace(store, trace.key)

@@ -154,12 +154,12 @@ class TestE12Frontier:
         assert "E12" in result.render()
 
     def test_dispatch_override_matches_default(self):
-        indexed = run_experiment("E12", job_counts=(300,), algorithms=("greedy",),
-                                 dispatch="indexed", repeats=1)
+        vectorized = run_experiment("E12", job_counts=(300,), algorithms=("greedy",),
+                                    dispatch="vectorized", repeats=1)
         scanned = run_experiment("E12", job_counts=(300,), algorithms=("greedy",),
                                  dispatch="scan", repeats=1)
         # Wall times differ; the simulated schedules (event counts) must not.
-        assert indexed.raw["rows"][0]["events"] == scanned.raw["rows"][0]["events"]
+        assert vectorized.raw["rows"][0]["events"] == scanned.raw["rows"][0]["events"]
 
     def test_default_chunk_size_sane(self):
         assert DEFAULT_CHUNK_SIZE >= 1_024
