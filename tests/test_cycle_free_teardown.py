@@ -4,8 +4,10 @@ A solve holds the whole run — jobs, records, priority-rank dicts, SoA
 columns — so any reference cycle through the engine state, the stepper or a
 session keeps megabytes alive until the next full collection.  Both ways a
 run is driven are checked: batch ``repro.solve`` and a finalized streaming
-session, in every dispatch mode, for the paper's Theorem-1 policy (the one
-that materialises the Fenwick prefix stats) and a speed-scaling policy.
+session, in every dispatch mode, for every streaming engine solver: the
+paper's Theorem-1 policy (the one that materialises the Fenwick prefix
+stats), the baselines, the adaptive meta-scheduler and both speed-scaling
+policies.
 """
 
 from __future__ import annotations
@@ -25,7 +27,12 @@ _BURST = overload_burst_instance(num_machines=3, burst_jobs=40, trailing_shorts=
 
 _CASES = [
     ("rejection-flow", _BURST, {"epsilon": 0.4}),
+    ("greedy", _BURST, {}),
+    ("fcfs", _BURST, {}),
+    ("immediate-rejection", _BURST, {"epsilon": 0.25}),
+    ("meta", _BURST, {}),
     ("rejection-energy-flow", _BURST.with_alpha(2.5), {"epsilon": 0.5}),
+    ("energy-flow-no-rejection", _BURST.with_alpha(2.5), {"epsilon": 0.5}),
 ]
 
 
