@@ -1,6 +1,7 @@
-"""Benchmark suite: pytest-benchmark scripts plus the unified harness.
+"""Benchmark tooling.
 
-``bench_e*.py`` are the interactive pytest-benchmark experiments
-(``pytest benchmarks/ --benchmark-only``); ``harness.py`` is the
-artifact-emitting runner CI uses (``python -m benchmarks.harness``).
+``ab.py`` is the same-runner A/B gate CI runs on every change
+(``python -m benchmarks.ab BASE_DIR HEAD_DIR``): it times both checkouts
+with the repository benchmark, ``perfbench/``, and compares the medians
+against the bounds in ``BENCHMARK.json``.
 """

@@ -3,7 +3,8 @@
 
 This is the batch driver behind EXPERIMENTS.md: it runs the whole experiment
 suite at the chosen scale and prints (or writes) the rendered report.  The
-per-experiment benchmarks under ``benchmarks/`` time the same entry points.
+tier-1 tests in ``tests/test_experiments.py`` assert each experiment's paper
+claim through the same entry points.
 
 Run with::
 

@@ -16,8 +16,8 @@ Seven subcommands cover the common workflows::
     python -m repro campaign run --grid medium --store sqlite:grid.db --worker
     python -m repro campaign diff /tmp/store-a sqlite:/tmp/store-b.db
 
-* ``experiments`` regenerates experiment tables (same engine as the benchmark
-  harness and ``examples/reproduce_experiments.py``).
+* ``experiments`` regenerates experiment tables (same entry point as the
+  campaign runner and ``examples/reproduce_experiments.py``).
 * ``simulate`` generates a random workload, runs one of the flow-time policies
   and prints the summary (optionally an ASCII Gantt chart and a CSV trace).
 * ``solve`` runs *any* registered algorithm through the unified solver
@@ -443,15 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
         "gc", help="remove expired task leases and stale temp files from a store"
     )
     _store_args(campaign_gc)
-
-    # ``repro bench`` is dispatched before parsing (see :func:`main`) so the
-    # harness keeps its own argparse surface; this stub makes it show up in
-    # ``repro --help``.
-    subparsers.add_parser(
-        "bench",
-        help="run the benchmark harness and emit BENCH_<slug>.json artifacts",
-        add_help=False,
-    )
 
     return parser
 
@@ -1086,12 +1077,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
     """
     out = out or sys.stdout
     err = err or sys.stderr
-    raw_argv = list(sys.argv[1:] if argv is None else argv)
-    if raw_argv[:1] == ["bench"]:
-        from repro.benchmarking import main as bench_main
-
-        return bench_main(raw_argv[1:], prog="repro bench", out=out, err=err)
-    args = build_parser().parse_args(raw_argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "experiments":
             return _cmd_experiments(args, out)

@@ -12,8 +12,8 @@ experiment module exposes
 * ``run(config) -> ExperimentResult``,
 
 and the registry in :mod:`repro.experiments.registry` lets callers run them
-by id (``run_experiment("E1")``), which is what the benchmark harness and
-the examples do.
+by id (``run_experiment("E1")``), which is what the CLI, the campaign
+runner and the examples do.
 """
 
 from repro.experiments.registry import (

@@ -7,8 +7,8 @@ Threads each owning a client is the intended concurrency model — the server
 multiplexes them onto one event loop.
 
 :func:`run_loadgen` is the capacity-measurement harness behind
-``repro loadgen``, the E15 service-capacity experiment and the
-``e15_service`` bench: it drives N concurrent sessions from the scenario
+``repro loadgen``, the E15 service-capacity experiment and its tier-1
+acceptance tests: it drives N concurrent sessions from the scenario
 catalog at a controlled rate, records per-chunk decision latencies, and can
 verify that every session's final summary is byte-identical to the batch
 :func:`repro.solve` of the same instance — the end-to-end determinism claim

@@ -195,6 +195,8 @@ def parse_request(line: str, lineno: int = 0) -> Request:
             raise ServiceProtocolError(
                 "op 'advance' requires a numeric 't' field", lineno=lineno
             )
+        if t != t:  # Python's json accepts the NaN literal
+            raise ServiceProtocolError("op 'advance' field 't' must not be NaN", lineno=lineno)
     elif op == "restore":
         if not isinstance(data.get("snapshot"), Mapping):
             raise ServiceProtocolError(

@@ -364,6 +364,10 @@ class SchedulerSession:
         out-of-order submissions are rejected).
         """
         self._require_open("advance_to")
+        if t != t:
+            # NaN compares false both ways, so the backends would disagree
+            # on what "up to NaN" means; it would also enter the op log.
+            raise SessionStateError("cannot advance to NaN")
         self._stepper.advance_to(t)
         self._watermark = max(self._watermark, t)
         self._record_advance(t)

@@ -24,7 +24,7 @@ class Job:
     id:
         Integer identifier, unique within an :class:`~repro.simulation.instance.Instance`.
     release:
-        Release date ``r_j >= 0``; the job is unknown to an online algorithm
+        Finite release date ``r_j >= 0``; the job is unknown to an online algorithm
         before this time.
     sizes:
         Tuple ``(p_1j, ..., p_mj)`` with the processing time / volume of the
@@ -34,8 +34,9 @@ class Job:
         Positive weight ``w_j`` used by the weighted flow-time objective
         (Section 3).  Defaults to 1.0.
     deadline:
-        Absolute deadline ``d_j`` used by the energy-minimisation problem
-        (Section 4); ``None`` when the instance has no deadlines.
+        Absolute deadline ``d_j > r_j`` used by the energy-minimisation
+        problem (Section 4); ``math.inf`` is allowed, NaN is not; ``None`` when
+        the instance has no deadlines.
     """
 
     id: int
@@ -47,9 +48,10 @@ class Job:
     def __post_init__(self) -> None:
         if self.id < 0:
             raise InvalidInstanceError(f"job id must be non-negative, got {self.id}")
-        if self.release < 0:
+        # One chained comparison: NaN and infinity fail it as well as negatives.
+        if not (0 <= self.release < math.inf):
             raise InvalidInstanceError(
-                f"job {self.id}: release must be non-negative, got {self.release}"
+                f"job {self.id}: release must be finite and non-negative, got {self.release}"
             )
         if not self.sizes:
             raise InvalidInstanceError(f"job {self.id}: empty size vector")
@@ -66,7 +68,8 @@ class Job:
             raise InvalidInstanceError(
                 f"job {self.id}: weight must be positive, got {self.weight}"
             )
-        if self.deadline is not None and self.deadline <= self.release:
+        # Written as ``not >`` so that a NaN deadline fails too; infinity passes.
+        if self.deadline is not None and not (self.deadline > self.release):
             raise InvalidInstanceError(
                 f"job {self.id}: deadline {self.deadline} must exceed release {self.release}"
             )

@@ -21,6 +21,7 @@ from repro.campaigns import (
 from repro.cli import main
 from repro.exceptions import InvalidParameterError
 from repro.experiments import ExperimentRunUnit, make_config
+from repro.utils.rng import seeds_for
 from repro.utils.serialization import canonical_json, stable_hash
 
 TINY_E1 = {"epsilons": (0.5,), "workloads": ("poisson-pareto",)}
@@ -308,3 +309,39 @@ class TestCampaignCli:
         ]
         assert main(args) == 1
         assert "missing" in capsys.readouterr().out
+
+
+class TestE10ParallelRunner:
+    """E10: the same E8-scale grid run sequentially, on a 4-worker pool and cached."""
+
+    WORKERS = 4
+    NUM_SEEDS = 4
+    #: E8-scale per-task work: one scalability sweep per seed.
+    E8_OVERRIDES = dict(job_counts=(500,), machine_counts=(4,), repeats=1)
+
+    def _tasks(self) -> list[CampaignTask]:
+        labels = [f"E8/bench/{i}" for i in range(self.NUM_SEEDS)]
+        return [
+            CampaignTask.create("E8", variant="bench", seed=seed, overrides=self.E8_OVERRIDES)
+            for seed in seeds_for(2018, labels).values()
+        ]
+
+    def test_e10_parallel_matches_sequential(self, tmp_path):
+        seq_store = ArtifactStore(tmp_path / "seq")
+        par_store = ArtifactStore(tmp_path / "par")
+        seq_summary = CampaignRunner(seq_store, workers=1).run(self._tasks())
+        par_summary = CampaignRunner(par_store, workers=self.WORKERS).run(self._tasks())
+
+        # Re-run against the populated store: everything must come from cache.
+        cached_summary = CampaignRunner(par_store, workers=self.WORKERS).run(self._tasks())
+
+        assert seq_summary.computed == par_summary.computed == self.NUM_SEEDS
+        assert cached_summary.cached == self.NUM_SEEDS and cached_summary.computed == 0
+        assert sorted(seq_store.keys()) == sorted(par_store.keys())
+        assert render_campaign_report(par_store, self._tasks())
+
+    def test_e10_cached_rerun_computes_nothing(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        CampaignRunner(store, workers=1).run(self._tasks())
+        summary = CampaignRunner(store, workers=1).run(self._tasks())
+        assert summary.cached == self.NUM_SEEDS and summary.computed == 0

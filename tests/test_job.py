@@ -41,6 +41,18 @@ class TestJobValidation:
         with pytest.raises(InvalidInstanceError):
             Job(0, 5.0, (1.0,), deadline=4.0)
 
+    @pytest.mark.parametrize("release", [math.nan, math.inf])
+    def test_non_finite_release_rejected(self, release):
+        with pytest.raises(InvalidInstanceError, match="finite"):
+            Job(0, release, (1.0,))
+
+    def test_nan_deadline_rejected(self):
+        with pytest.raises(InvalidInstanceError):
+            Job(0, 1.0, (1.0,), deadline=math.nan)
+
+    def test_infinite_deadline_allowed(self):
+        assert Job(0, 1.0, (1.0,), deadline=math.inf).deadline == math.inf
+
 
 class TestJobAccessors:
     def test_size_on(self):

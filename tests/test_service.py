@@ -119,6 +119,8 @@ class TestProtocol:
             '{"op": "submit", "session": "s", "jobs": {"id": 0}}',
             '{"op": "advance", "session": "s", "t": "soon"}',
             '{"op": "advance", "session": "s"}',
+            # Python's json accepts the NaN literal, and NaN passes the type check.
+            '{"op": "advance", "session": "s", "t": NaN}',
             '{"op": "restore", "session": "s"}',
             '{"op": "migrate", "session": "s", "target": "no-port"}',
             '{"op": "create", "session": "s", "params": [1]}',
@@ -545,10 +547,41 @@ class TestE15:
         medium_ids = {entry.experiment_id for entry in GRIDS["medium"].entries}
         assert "E15" in small_ids and "E15" in medium_ids
 
-    def test_e15_bench_registered(self):
-        from repro.benchmarking import SPECS
+    @staticmethod
+    def _drive(sessions: int, jobs: int = 200, verify: bool = False):
+        """Loopback TCP server + threaded loadgen clients, 4 machines, 32-job chunks."""
+        with start_server_thread() as handle:
+            return run_loadgen(
+                handle.host,
+                handle.port,
+                sessions=sessions,
+                jobs=jobs,
+                machines=4,
+                seed=2018,
+                params={"epsilon": 0.5},
+                chunk_size=32,
+                verify=verify,
+            )
 
-        assert "e15_service" in SPECS and SPECS["e15_service"].quick
+    def test_e15_single_session(self):
+        """One session through the full TCP serving stack."""
+        report = self._drive(1)
+        assert report.total_jobs == 200
+        assert report.sessions[0].final_row is not None
+
+    def test_e15_eight_sessions(self):
+        """The capacity path: 8 concurrent sessions on one server."""
+        report = self._drive(8)
+        assert report.total_jobs == 8 * 200
+        assert all(r.final_row is not None for r in report.sessions)
+
+    def test_e15_32_sessions_byte_identical(self):
+        """Acceptance demo: >=32 concurrent sessions, every final summary
+        byte-identical to the batch solve of the same instance."""
+        report = self._drive(32, jobs=60, verify=True)
+        assert len(report.sessions) == 32
+        assert report.verified == 32
+        assert report.total_throttled == 0
 
 
 # --------------------------------------------------------------------------------------
